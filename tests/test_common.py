@@ -234,13 +234,13 @@ class TestMetrics:
         hist = LatencyHistogram(max_samples=1000)
         for v in range(100_000):
             hist.record(float(v % 1000))
-        assert len(hist._sorted) <= 1000
+        assert len(hist._samples) <= 1000
         assert hist.count == 100_000
         # Quantiles remain approximately correct after downsampling.
         assert abs(hist.p50 - 500.0) < 60
 
     def test_histogram_max_survives_reservoir_halving(self):
-        """Regression: ``self._sorted[::2]`` keeps even indices, so the
+        """Regression: halving keeps the sorted reservoir's even indices, so the
         largest sample (last index, odd after an overflow to an even
         length) used to vanish from the reported max — and once the
         stride starts skipping records, a later true max could be
@@ -248,7 +248,7 @@ class TestMetrics:
         hist = LatencyHistogram()
         n = hist.max_samples + 2  # overflow the 200k reservoir
         for v in range(n):
-            hist.record(float(v))  # increasing: insort appends in O(1)
+            hist.record(float(v))  # increasing: the reservoir stays sorted
         assert hist.count == n
         # The buggy halving reported max == 200000.0 here.
         assert hist.max == float(n - 1)

@@ -178,3 +178,39 @@ def test_tracing_disabled_is_zero_cost():
         f"exceeds 5% budget (baseline {best_baseline * 1e3:.1f} ms, "
         f"disabled {best_disabled * 1e3:.1f} ms)"
     )
+
+
+@pytest.mark.perf
+def test_bounded_runs_stay_on_the_inlined_dispatcher(monkeypatch):
+    """``run(until=...)`` windows must dispatch on ``Simulator._run_core``:
+    a mini Pravega workload with readers drains through such windows
+    while the stepwise primitives are booby-trapped."""
+    from repro.bench import PravegaAdapter, WorkloadSpec, run_workload
+
+    def slow_path(*args, **kwargs):
+        raise AssertionError("bounded run fell back to the stepwise loop")
+
+    bounded = []
+    original_run = Simulator.run
+
+    def counting_run(self, until=None, condition=None, max_events=None):
+        if until is not None:
+            bounded.append(until)
+        original_run(self, until, condition, max_events)
+
+    monkeypatch.setattr(Simulator, "step", slow_path)
+    monkeypatch.setattr(Simulator, "_next_time", slow_path)
+    monkeypatch.setattr(Simulator, "run", counting_run)
+    sim = Simulator()
+    spec = WorkloadSpec(
+        event_size=100,
+        target_rate=5_000,
+        partitions=2,
+        producers=1,
+        consumers=1,
+        duration=0.5,
+        warmup=0.1,
+    )
+    result = run_workload(sim, PravegaAdapter(sim), spec)
+    assert result.consume_rate > 0
+    assert bounded, "the workload drained without a bounded run"
