@@ -148,8 +148,9 @@ shard-check:
 shard-test:
 	$(PYTHON) -m pytest -q -m shard
 
-## same-machine A/B of one perfbench workload: committed BASE ref vs
-## HEAD, alternating pairs, medians/quartiles per metric, pair wins on
+## same-machine A/B of perfbench workloads (W="w1 w2 ..."): committed
+## BASE ref vs HEAD, alternating pairs, medians/quartiles per metric
+## flagged past their BENCHMARK.json bound, pair wins on
 ## host_us_per_event (override: PAIRS=10 SEED=3)
 ab:
 	$(PYTHON) benchmarks/ab_perfbench.py --base $(BASE) --workload $(W) \

@@ -1,37 +1,43 @@
 #!/usr/bin/env python3
-"""Same-machine A/B of one ``perfbench`` workload: a base ref against HEAD.
+"""Same-machine A/B of ``perfbench`` workloads: a base ref against HEAD.
 
 Run from anywhere inside a checkout::
 
     python3 benchmarks/ab_perfbench.py --base HEAD~1 --workload pravega_catchup
-    python3 benchmarks/ab_perfbench.py --base main --workload pravega_write \\
-        --pairs 10 --seed 3
+    python3 benchmarks/ab_perfbench.py --base main \\
+        --workload pravega_write kafka_pulsar_write --pairs 10 --seed 3
 
-Both sides run from ``git worktree`` checkouts of the committed trees
+Both sides run from ``git archive`` exports of the committed trees
 (``--base`` and ``HEAD``) in a temporary directory, removed afterwards,
-so uncommitted edits never leak into either side.  Each pair runs
-``perfbench/run.py --workload W --seed S --trace 0`` once per side, one
-process at a time, alternating which side goes first; the run length is
-perfbench's own.  The script reads ``perfbench/`` and never edits it.
+so uncommitted edits never leak into either side.  For each workload in
+turn, each pair runs ``perfbench/run.py --workload W --seed S --trace 0``
+once per side, one process at a time, alternating which side goes
+first; the run length is perfbench's own.  The script reads
+``perfbench/`` and ``BENCHMARK.json`` and never edits them.
 
-Printed: every end-to-end metric's median and quartiles per side, the
-pair wins of ``host_us_per_event`` (ties count for neither side), whether
+Printed per workload: every end-to-end metric's median and quartiles
+per side, flagged ``WORSE`` when the change's median is worse than the
+base's by more than that metric's ``BENCHMARK.json`` bound; the pair
+wins of ``host_us_per_event`` (ties count for neither side); whether
 that is a claimable gain (at least ten pairs, at least 9 in 10 won, and
 the change's median better than the base's by more than the base's
-interquartile spread), and whether every simulated result and the
+interquartile spread); and whether every simulated result and the
 failed-event count are identical across all runs.  Exit status 1 means
-a run failed its correctness check or the simulated results differ.
+a run failed its correctness check, the simulated results differ, or a
+metric is flagged ``WORSE``.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 #: The metric pair wins and the gain verdict are judged on (lower is better).
@@ -44,12 +50,21 @@ def _git(root: str, *args: str) -> str:
     ).stdout.strip()
 
 
-def _run_side(checkout: str, args) -> dict:
+def _export(root: str, commit: str, path: str) -> None:
+    """Write the committed tree of ``commit`` to ``path``."""
+    tar = subprocess.run(
+        ["git", "-C", root, "archive", commit], check=True, capture_output=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(path)
+
+
+def _run_side(checkout: str, workload: str, seed: int) -> dict:
     """One ``perfbench`` run; returns metric values plus the simulated
     results (``sim``), attempted and failed counts from the output."""
     cmd = [
         sys.executable, os.path.join("perfbench", "run.py"),
-        "--workload", args.workload, "--seed", str(args.seed), "--trace", "0",
+        "--workload", workload, "--seed", str(seed), "--trace", "0",
     ]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -82,48 +97,29 @@ def _fmt(quartiles: tuple) -> str:
     return "/".join(f"{v:.5g}" for v in quartiles)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", required=True, help="git ref of the base side")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=3)
-    args = parser.parse_args(argv)
+def _worse_beyond_bound(metric: dict, base: float, head: float) -> bool:
+    """True when ``head`` is worse than ``base`` by more than the metric's
+    relative bound, in the metric's own direction."""
+    if metric["better"] == "lower":
+        return head > base * (1.0 + metric["bound"])
+    return head < base * (1.0 - metric["bound"])
 
-    root = _git(os.getcwd(), "rev-parse", "--show-toplevel")
-    with open(os.path.join(root, "BENCHMARK.json")) as f:
-        metrics = [m["name"] for m in json.load(f)["end_to_end"]]
-    sides = {"base": _git(root, "rev-parse", args.base), "head": _git(root, "rev-parse", "HEAD")}
-    tmp = tempfile.mkdtemp(prefix="ab-perfbench-")
-    checkouts = {}
-    runs = {"base": [], "head": []}
-    try:
-        for side, commit in sides.items():
-            path = os.path.join(tmp, side)
-            _git(root, "worktree", "add", "--detach", path, commit)
-            checkouts[side] = path
-        for i in range(args.pairs):
-            order = ("base", "head") if i % 2 == 0 else ("head", "base")
-            for side in order:
-                runs[side].append(_run_side(checkouts[side], args))
-            b = runs["base"][-1]["values"][CLAIM_METRIC]
-            h = runs["head"][-1]["values"][CLAIM_METRIC]
-            print(f"pair {i + 1:2d} ({order[0]} first): {CLAIM_METRIC} base {b:.6g} head {h:.6g}",
-                  flush=True)
-    finally:
-        for path in checkouts.values():
-            subprocess.run(["git", "-C", root, "worktree", "remove", "--force", path],
-                           capture_output=True)
-        shutil.rmtree(tmp, ignore_errors=True)
 
-    print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs")
-    print(f"base {args.base} = {sides['base'][:12]}   head HEAD = {sides['head'][:12]}")
+def _report(workload: str, runs: dict, metrics: list, args) -> bool:
+    """Print one workload's table and verdicts; True when it is clean."""
+    print(f"\n{workload} seed {args.seed}, {args.pairs} pairs")
     print(f"{'metric':20s} {'base q1/median/q3':>36s} {'head q1/median/q3':>36s} {'delta':>8s}")
-    for name in metrics:
+    flagged = []
+    for metric in metrics:
+        name = metric["name"]
         base = _quartiles([r["values"][name] for r in runs["base"]])
         head = _quartiles([r["values"][name] for r in runs["head"]])
         delta = (head[1] / base[1] - 1.0) if base[1] else float("nan")
-        print(f"{name:20s} {_fmt(base):>36s} {_fmt(head):>36s} {delta:+8.1%}")
+        flag = ""
+        if _worse_beyond_bound(metric, base[1], head[1]):
+            flag = f"  WORSE (bound {metric['bound']:.0%})"
+            flagged.append(name)
+        print(f"{name:20s} {_fmt(base):>36s} {_fmt(head):>36s} {delta:+8.1%}{flag}")
 
     wins = sum(
         h["values"][CLAIM_METRIC] < b["values"][CLAIM_METRIC]
@@ -138,7 +134,7 @@ def main(argv=None) -> int:
         verdict = "gain"
     else:
         verdict = "no claimable gain"
-    print(f"\n{CLAIM_METRIC}: head wins {wins}/{args.pairs} pairs; median gain {gap:.6g} "
+    print(f"{CLAIM_METRIC}: head wins {wins}/{args.pairs} pairs; median gain {gap:.6g} "
           f"vs base interquartile spread {bq3 - bq1:.6g} -> {verdict}")
 
     reference = runs["base"][0]
@@ -149,7 +145,45 @@ def main(argv=None) -> int:
     )
     correct = all(r["correct"] for side in runs.values() for r in side)
     print(f"simulated results, kernel events and failed/attempted identical on every run: {same}")
-    return 0 if same and correct else 1
+    if flagged:
+        print(f"worse than the bound: {', '.join(flagged)}")
+    return same and correct and not flagged
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git ref of the base side")
+    parser.add_argument("--workload", required=True, nargs="+")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=3)
+    args = parser.parse_args(argv)
+
+    root = _git(os.getcwd(), "rev-parse", "--show-toplevel")
+    with open(os.path.join(root, "BENCHMARK.json")) as f:
+        metrics = json.load(f)["end_to_end"]
+    sides = {"base": _git(root, "rev-parse", args.base), "head": _git(root, "rev-parse", "HEAD")}
+    print(f"base {args.base} = {sides['base'][:12]}   head HEAD = {sides['head'][:12]}")
+    tmp = tempfile.mkdtemp(prefix="ab-perfbench-")
+    clean = True
+    try:
+        checkouts = {}
+        for side, commit in sides.items():
+            checkouts[side] = os.path.join(tmp, side)
+            _export(root, commit, checkouts[side])
+        for workload in args.workload:
+            runs = {"base": [], "head": []}
+            for i in range(args.pairs):
+                order = ("base", "head") if i % 2 == 0 else ("head", "base")
+                for side in order:
+                    runs[side].append(_run_side(checkouts[side], workload, args.seed))
+                b = runs["base"][-1]["values"][CLAIM_METRIC]
+                h = runs["head"][-1]["values"][CLAIM_METRIC]
+                print(f"{workload} pair {i + 1:2d} ({order[0]} first): "
+                      f"{CLAIM_METRIC} base {b:.6g} head {h:.6g}", flush=True)
+            clean = _report(workload, runs, metrics, args) and clean
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    return 0 if clean else 1
 
 
 if __name__ == "__main__":

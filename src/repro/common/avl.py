@@ -77,6 +77,49 @@ def _rebalance(node: _Node) -> _Node:
     return node
 
 
+# Insert and delete recurse through module-level helpers rather than
+# closures: a nested function that calls itself is a reference cycle, and
+# the read index inserts and deletes on every cached append and eviction,
+# which left cyclic garbage for the collector on every call.
+def _insert(tree: "AvlTree", node: Optional[_Node], key: Any, value: Any) -> _Node:
+    if node is None:
+        tree._size += 1
+        return _Node(key, value)
+    if key < node.key:
+        node.left = _insert(tree, node.left, key, value)
+    elif key > node.key:
+        node.right = _insert(tree, node.right, key, value)
+    else:
+        node.value = value
+        return node
+    return _rebalance(node)
+
+
+def _delete(tree: "AvlTree", node: Optional[_Node], key: Any) -> Optional[_Node]:
+    if node is None:
+        return None
+    if key < node.key:
+        node.left = _delete(tree, node.left, key)
+    elif key > node.key:
+        node.right = _delete(tree, node.right, key)
+    else:
+        if node.left is None:
+            tree._size -= 1
+            return node.right
+        if node.right is None:
+            tree._size -= 1
+            return node.left
+        # Two children: take the in-order successor's entry and remove
+        # the successor node, which counts the removal.
+        successor = node.right
+        while successor.left is not None:
+            successor = successor.left
+        node.key = successor.key
+        node.value = successor.value
+        node.right = _delete(tree, node.right, successor.key)
+    return _rebalance(node)
+
+
 class AvlTree(Generic[K, V]):
     """An ordered map with O(log n) insert/delete/search/floor/ceiling."""
 
@@ -97,59 +140,13 @@ class AvlTree(Generic[K, V]):
     # ------------------------------------------------------------------
     def insert(self, key: K, value: V) -> None:
         """Insert ``key`` -> ``value``; replaces the value if key exists."""
-        inserted = [False]
-
-        def _insert(node: Optional[_Node[K, V]]) -> _Node[K, V]:
-            if node is None:
-                inserted[0] = True
-                return _Node(key, value)
-            if key < node.key:
-                node.left = _insert(node.left)
-            elif key > node.key:
-                node.right = _insert(node.right)
-            else:
-                node.value = value
-                return node
-            return _rebalance(node)
-
-        self._root = _insert(self._root)
-        if inserted[0]:
-            self._size += 1
+        self._root = _insert(self, self._root, key, value)
 
     def delete(self, key: K) -> bool:
         """Remove ``key``; returns True if it was present."""
-        removed = [False]
-
-        def _min_node(node: _Node[K, V]) -> _Node[K, V]:
-            while node.left is not None:
-                node = node.left
-            return node
-
-        def _delete(node: Optional[_Node[K, V]], key: K) -> Optional[_Node[K, V]]:
-            if node is None:
-                return None
-            if key < node.key:
-                node.left = _delete(node.left, key)
-            elif key > node.key:
-                node.right = _delete(node.right, key)
-            else:
-                removed[0] = True
-                if node.left is None:
-                    return node.right
-                if node.right is None:
-                    return node.left
-                successor = _min_node(node.right)
-                node.key = successor.key
-                node.value = successor.value
-                removed[0] = False
-                node.right = _delete(node.right, successor.key)
-                removed[0] = True
-            return _rebalance(node)
-
-        self._root = _delete(self._root, key)
-        if removed[0]:
-            self._size -= 1
-        return removed[0]
+        size = self._size
+        self._root = _delete(self, self._root, key)
+        return self._size < size
 
     def get(self, key: K, default: Any = None) -> Any:
         node = self._find(key)

@@ -164,6 +164,7 @@ class BlockCache:
         return self._used_blocks > self.spec.max_blocks
 
     def _allocate_block(self) -> tuple[_Buffer, int]:
+        """One free block; the caller has checked the room (:meth:`_check_room`)."""
         while self._available:
             buffer = self._buffers[self._available[0]]
             if buffer.free_count > 0:
@@ -173,15 +174,21 @@ class BlockCache:
                 self._used_blocks += 1
                 return buffer, block
             self._available.popleft()
-        if len(self._buffers) < self.spec.hard_max_buffers:
-            buffer = _Buffer(len(self._buffers), self.spec.blocks_per_buffer)
-            self._buffers.append(buffer)
-            self._available.append(buffer.index)
-            return self._allocate_block()
-        raise CacheFullError(
-            f"cache full: {self._used_blocks} blocks "
-            f"(target {self.spec.max_blocks}, hard cap reached)"
-        )
+        assert len(self._buffers) < self.spec.hard_max_buffers
+        buffer = _Buffer(len(self._buffers), self.spec.blocks_per_buffer)
+        self._buffers.append(buffer)
+        self._available.append(buffer.index)
+        return self._allocate_block()
+
+    def _check_room(self, blocks: int) -> None:
+        """Raise :class:`CacheFullError` unless ``blocks`` more blocks fit
+        under the hard cap, so a failed insert or append changes nothing."""
+        spec = self.spec
+        if self._used_blocks + blocks > spec.hard_max_buffers * spec.blocks_per_buffer:
+            raise CacheFullError(
+                f"cache full: {self._used_blocks} blocks, {blocks} more needed "
+                f"(target {spec.max_blocks}, hard cap reached)"
+            )
 
     def _release_block(self, buffer: _Buffer, block: int) -> None:
         had_free = buffer.free_count > 0
@@ -195,11 +202,12 @@ class BlockCache:
     # ------------------------------------------------------------------
     def insert(self, payload: Payload) -> int:
         """Store a new entry; returns its address (the last block's)."""
+        block_size = self.spec.block_size
+        # an empty entry still takes one block
+        self._check_room(max(1, -(-payload.size // block_size)))
         self.inserts += 1
         address = NO_ADDRESS
-        remaining = payload
         offset = 0
-        block_size = self.spec.block_size
         while True:
             buffer, block = self._allocate_block()
             take = min(block_size, payload.size - offset)
@@ -219,12 +227,13 @@ class BlockCache:
 
         O(1) to locate the tail: the entry's address *is* its last block.
         """
-        self.appends += 1
         buffer, block = self._split(address)
         block_size = self.spec.block_size
+        space = block_size - buffer.length[block]
+        self._check_room(-(-max(payload.size - space, 0) // block_size))
+        self.appends += 1
         offset = 0
         # Fill remaining capacity of the last block in place.
-        space = block_size - buffer.length[block]
         if space > 0 and payload.size > 0:
             take = min(space, payload.size)
             _add_fragment(buffer.fragments[block], payload.slice(0, take))

@@ -1,7 +1,7 @@
 """Tests for the Fig. 4 block cache: chaining, O(1) appends, free lists."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.payload import Payload
@@ -108,6 +108,27 @@ class TestDelete:
         with pytest.raises(CacheFullError):
             cache.insert(Payload.of(b"one more"))
 
+    def test_failed_insert_and_append_change_nothing(self, cache):
+        """CacheFullError leaves the entry, its blocks and the counters as
+        they were: the room is checked before anything is touched."""
+        hard_blocks = cache.spec.hard_max_buffers * cache.spec.blocks_per_buffer
+        block_size = cache.spec.block_size
+        address = cache.insert(Payload.of(b"a" * (block_size - 4)))
+        cache.insert(Payload.synthetic((hard_blocks - 2) * block_size))
+        assert cache.used_blocks == hard_blocks - 1
+        before = (cache.used_blocks, cache.inserts, cache.appends)
+        with pytest.raises(CacheFullError):
+            cache.append(address, Payload.of(b"b" * (4 + 2 * block_size)))
+        with pytest.raises(CacheFullError):
+            cache.insert(Payload.of(b"c" * (block_size + 1)))
+        assert (cache.used_blocks, cache.inserts, cache.appends) == before
+        assert cache.get(address).content == b"a" * (block_size - 4)
+        cache.check_invariants()
+        # what does fit still goes in: the last block's room, then one block
+        address = cache.append(address, Payload.of(b"b" * (4 + block_size)))
+        assert cache.get(address).content == b"a" * (block_size - 4) + b"b" * (4 + block_size)
+        assert cache.used_blocks == hard_blocks
+
     def test_get_freed_address_rejected(self, cache):
         address = cache.insert(Payload.of(b"x"))
         cache.delete(address)
@@ -134,6 +155,13 @@ class TestInvariants:
         )
     )
     @settings(max_examples=60, deadline=None)
+    # A cache filled to its hard cap, then an append that needs a new
+    # block: the failed append used to keep its partial fill.
+    @example(
+        [("insert", 0)] * 8
+        + [("insert", n) for n in (17, 17, 25, 33, 33, 33, 49, 57)]
+        + [("append", 8)]
+    )
     def test_property_layout_matches_model(self, ops):
         """Property: cache contents match a plain dict model, and free
         lists/used blocks always partition every buffer (invariant 5)."""

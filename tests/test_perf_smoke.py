@@ -11,6 +11,7 @@ path must allocate no spans and stay within 5% of the untraced
 baseline's wall time.
 """
 
+import gc
 import os
 import subprocess
 import sys
@@ -60,6 +61,10 @@ def _timed_mini_run(tracer):
         duration=1.0,
         warmup=0.2,
     )
+    # Start from an empty heap of garbage.  The tracer keeps its last
+    # simulator alive until the next traced run replaces it, so without
+    # this the traced side alone paid to collect a dead cluster mid-run.
+    gc.collect()
     start = time.perf_counter()
     run_workload(sim, adapter, spec, tracer=tracer)
     return time.perf_counter() - start
@@ -154,8 +159,10 @@ def test_tracing_disabled_is_zero_cost():
     """Disabled tracer: zero span allocations and <= 5% wall overhead.
 
     Runs are interleaved and we compare min-of-N wall times so transient
-    machine noise (GC, scheduler) can't fail either side spuriously; the
-    simulation itself is deterministic, so min-of-N converges fast.
+    machine noise (scheduler) can't fail either side spuriously; each run
+    starts after a full collection, so neither side pays for another's
+    garbage.  The simulation itself is deterministic, so min-of-N
+    converges fast.
     """
     repeats = 5
     baseline = []
