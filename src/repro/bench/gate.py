@@ -2,7 +2,7 @@
 
 The repo commits its performance trajectory as ``BENCH_*.json`` files
 (kernel microbenchmarks, the figure suite, workload experiments, the
-fluid-scale report, the capacity map, the sharded-runtime report).
+fluid-scale report, the capacity map).
 Nothing guarded them: a
 regression could land silently and only be noticed when a full suite
 re-run happened to be eyeballed.  The gate closes that hole in three
@@ -391,49 +391,6 @@ def structure_checks(files: Dict[str, dict], min_capacity_points: int = 6) -> Li
                         rate, "a hit rate in [0, 1]")
         if "seed" not in read:
             bad("BENCH_read.json", "seed", sorted(read), "a recorded seed")
-
-    shard = files.get("BENCH_shard.json")
-    if shard is not None:
-        scenarios = shard.get("scenarios") or []
-        if len(scenarios) < 2:
-            bad("BENCH_shard.json", "scenarios", len(scenarios),
-                ">= 2 shard scenarios (incl. a fig10a-class heavy one)")
-        for scenario in scenarios:
-            label = f"scenarios[{scenario.get('name')}]"
-            if not scenario.get("identical_across_shards", False):
-                bad("BENCH_shard.json", f"{label}.identical_across_shards",
-                    scenario.get("identical_across_shards"),
-                    "results identical across all shard counts")
-            runs = scenario.get("runs") or []
-            counts = sorted({r.get("shards") for r in runs})
-            if len(counts) < 3:
-                bad("BENCH_shard.json", f"{label}.runs", counts,
-                    ">= 3 distinct shard counts")
-            elif 1 not in counts:
-                bad("BENCH_shard.json", f"{label}.runs", counts,
-                    "a shards=1 baseline run")
-            for run in runs:
-                rlabel = f"{label}.runs[shards={run.get('shards')}]"
-                sync = run.get("sync")
-                if not isinstance(sync, dict):
-                    bad("BENCH_shard.json", f"{rlabel}.sync",
-                        sync, "a sync-overhead record")
-                    continue
-                for key in (
-                    "rounds", "null_messages", "lookahead_s",
-                    "avg_window_s", "lookahead_utilization", "ipc_wall_s",
-                ):
-                    if key not in sync:
-                        bad("BENCH_shard.json", f"{rlabel}.sync.{key}",
-                            sorted(sync), f"a {key} field")
-                if run.get("shards", 0) > 1:
-                    if not sync.get("lookahead_s", 0) > 0:
-                        bad("BENCH_shard.json", f"{rlabel}.sync.lookahead_s",
-                            sync.get("lookahead_s"),
-                            "a strictly positive conservative lookahead")
-                    if not sync.get("rounds", 0) > 0:
-                        bad("BENCH_shard.json", f"{rlabel}.sync.rounds",
-                            sync.get("rounds"), "> 0 synchronization rounds")
 
     # Cross-file agreement: a scenario recorded in two files must agree
     # on its deterministic fields (wall fields are per-run).

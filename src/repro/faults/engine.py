@@ -4,8 +4,8 @@ The engine is the single choke point every injection hook calls into:
 
 * ``disk_op(node, file_id, nbytes, sync)`` — from :class:`repro.sim.disk.Disk`;
   returns extra latency seconds, or raises ``DiskFaultError``.
-* ``net_message(src, dst)`` — from :class:`repro.sim.network.Network`;
-  returns extra latency seconds for the message.
+* ``net_message(src, dst, base)`` — from :class:`repro.sim.network.Network`
+  with the message's fault-free delay; returns extra latency seconds.
 * ``node_op(node)`` — from broker/bookie request paths; may fire a
   crash rule (the crash itself runs via ``sim.call_soon`` so the
   in-flight operation completes its current step first).
@@ -49,9 +49,8 @@ __all__ = ["FaultEngine"]
 #: default retransmission delay for net_drop rules that do not set one
 DEFAULT_RETRANSMIT = 0.25
 
-#: spacing used by the per-link FIFO clamp; covers the largest
-#: serialization-time difference between two back-to-back messages
-#: (1 MiB at 10 Gb/s is ~0.8 ms)
+#: spacing the per-link FIFO clamp keeps between a delayed message's
+#: arrival and any later delivery on the same link
 _FIFO_MARGIN = 1.5e-3
 
 
@@ -240,10 +239,11 @@ class FaultEngine:
                 self._record("disk_stall", node)
         return extra
 
-    def net_message(self, src: str, dst: str) -> float:
-        """Called per network message.  Returns extra latency seconds."""
+    def net_message(self, src: str, dst: str, base: float) -> float:
+        """Called per network message whose fault-free delivery delay is
+        ``base``.  Returns extra latency seconds."""
         if not self._armed:
-            return self._fifo_clamp(src, dst, 0.0)
+            return self._fifo_clamp(src, dst, base, 0.0)
         extra = 0.0
         now = self.sim.now
         for st in self._net_rules:
@@ -262,24 +262,27 @@ class FaultEngine:
                 else:
                     extra += rule.delay
                 self._record(rule.action, f"{src}->{dst}")
-        return self._fifo_clamp(src, dst, extra)
+        return self._fifo_clamp(src, dst, base, extra)
 
-    def _fifo_clamp(self, src: str, dst: str, extra: float) -> float:
+    def _fifo_clamp(self, src: str, dst: str, base: float, extra: float) -> float:
         """Preserve per-link delivery order (TCP never reorders within a
         connection): a message sent after a delayed one on the same link
-        must not arrive before it."""
+        must not arrive before it.  The clamp orders absolute arrival
+        instants ``now + base + extra``; ordering ``now + extra`` alone
+        would let a later message overtake one queued behind NIC
+        backlog."""
         key = (src, dst)
         floor = self._link_floor.get(key)
-        now = self.sim.now
+        arrival = self.sim.now + base
         if extra > 0.0:
-            planned = now + extra
+            planned = arrival + extra
             if floor is not None and planned < floor + _FIFO_MARGIN:
                 planned = floor + _FIFO_MARGIN
-                extra = planned - now
+                extra = planned - arrival
             self._link_floor[key] = planned
         elif floor is not None:
-            if now < floor + _FIFO_MARGIN:
-                extra = (floor + _FIFO_MARGIN) - now
+            if arrival < floor + _FIFO_MARGIN:
+                extra = (floor + _FIFO_MARGIN) - arrival
                 self._link_floor[key] = floor + _FIFO_MARGIN
             else:
                 del self._link_floor[key]

@@ -29,7 +29,6 @@ DOMAIN_MARKERS = (
     "gate",
     "geo",
     "read",
-    "shard",
 )
 
 _deselected: List[object] = []

@@ -8,7 +8,7 @@ from repro.common.errors import InjectedCrashError
 from repro.common.metrics import RateMeter
 from repro.faults import FaultEngine, FaultPlan, FaultRule
 from repro.faults.engine import _FIFO_MARGIN
-from repro.sim import Simulator
+from repro.sim import Network, NetworkSpec, Simulator
 
 
 class TestPlanValidation:
@@ -124,14 +124,14 @@ class TestFifoClamp:
                                            repeat=True)
         engine = FaultEngine(sim, plan)
         engine.start()
-        first = engine.net_message("a", "b")
-        second = engine.net_message("a", "b")
+        first = engine.net_message("a", "b", 0.0)
+        second = engine.net_message("a", "b", 0.0)
         assert first == pytest.approx(0.01)
         # same link, same instant: the second message is pushed behind
         # the first delivery plus the clamp margin
         assert second >= first + _FIFO_MARGIN * 0.99
         # a different link is unaffected
-        assert engine.net_message("a", "c") == pytest.approx(0.01)
+        assert engine.net_message("a", "c", 0.0) == pytest.approx(0.01)
 
     def test_clamp_applies_even_after_quiesce(self):
         sim = Simulator()
@@ -139,11 +139,35 @@ class TestFifoClamp:
                                            repeat=True)
         engine = FaultEngine(sim, plan)
         engine.start()
-        delayed = engine.net_message("a", "b")
+        delayed = engine.net_message("a", "b", 0.0)
         engine.quiesce()
-        trailing = engine.net_message("a", "b")
+        trailing = engine.net_message("a", "b", 0.0)
         # the in-flight delayed message still bounds this delivery
         assert trailing >= delayed
+
+    def test_clamp_orders_arrivals_behind_nic_backlog(self):
+        # a->c leaves 10 ms of backlog on a's NIC; the first a->b message
+        # waits behind it and carries a one-shot 5 ms delay on top.  A
+        # second a->b message sent at t=4 ms must still arrive after it.
+        sim = Simulator()
+        network = Network(sim, NetworkSpec(
+            bandwidth=1e8, rtt=1e-3, per_message_overhead=1e-6,
+            local_latency=1e-6,
+        ))
+        plan = FaultPlan(seed=0).net_delay("a->b", probability=1.0, delay=5e-3)
+        engine = FaultEngine(sim, plan)
+        engine.start()
+        network.faults = engine
+        arrivals = []
+        network.transfer("a", "c", 1_000_000)
+        network.transfer("a", "b", 0).add_callback(
+            lambda _: arrivals.append(("first", sim.now)))
+        sim.run(until=4e-3)
+        network.transfer("a", "b", 0).add_callback(
+            lambda _: arrivals.append(("second", sim.now)))
+        sim.run()
+        assert [name for name, _ in arrivals] == ["first", "second"]
+        assert arrivals[1][1] >= arrivals[0][1] + _FIFO_MARGIN * 0.99
 
 
 class TestRecoveryReinjection:

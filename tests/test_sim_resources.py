@@ -1,8 +1,11 @@
 """Unit tests for simulation resources, disks, page cache and network."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import SimulationError
+from repro.faults import FaultEngine, FaultPlan
 from repro.sim import (
     Disk,
     DiskSpec,
@@ -217,3 +220,95 @@ class TestNetwork:
         net = Network(sim, NetworkSpec(rtt=2e-3))
         assert net.rtt_between("a", "b") == pytest.approx(2e-3)
         assert net.rtt_between("a", "a") < 2e-3
+
+
+specs = st.builds(
+    NetworkSpec,
+    bandwidth=st.floats(1e7, 1e10),
+    rtt=st.floats(1e-6, 1e-2),
+    per_message_overhead=st.floats(1e-7, 1e-4),
+    local_latency=st.floats(1e-7, 1e-4),
+)
+
+#: (src_idx, dst_idx, nbytes, idle gap before the send)
+traffic = st.lists(
+    st.tuples(
+        st.integers(0, 5),
+        st.integers(0, 5),
+        st.integers(0, 1_000_000),
+        st.floats(0.0, 1e-3),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _plan(seed, rules) -> FaultPlan:
+    plan = FaultPlan(seed=seed)
+    for action, target, probability, delay in rules:
+        plan.fault(
+            action, target, probability=probability, delay=delay, repeat=True
+        )
+    return plan
+
+
+fault_plans = st.builds(
+    _plan,
+    seed=st.integers(0, 2**32 - 1),
+    rules=st.lists(
+        st.tuples(
+            st.sampled_from(["net_delay", "net_drop"]),
+            st.sampled_from(["*", "h0->*", "*->h1", "h2->h3"]),
+            st.floats(0.0, 1.0),   # probability
+            st.floats(0.0, 1e-2),  # extra delay
+        ),
+        max_size=4,
+    ),
+)
+
+
+# h0->h2 leaves 10 ms of backlog on h0's NIC; the first h0->h1 message
+# waits behind it under a one-shot 5 ms delay, and a second h0->h1 sent
+# at t=4 ms must not overtake it.
+@example(
+    spec=NetworkSpec(
+        bandwidth=1e8, rtt=1e-3, per_message_overhead=1e-6, local_latency=1e-6
+    ),
+    sends=[(0, 2, 1_000_000, 0.0), (0, 1, 0, 0.0), (0, 1, 0, 4e-3)],
+    plan=FaultPlan(seed=0).net_delay("h0->h1", probability=1.0, delay=5e-3),
+)
+@settings(max_examples=60, deadline=None)
+@given(spec=specs, sends=traffic, plan=fault_plans)
+def test_transfer_keeps_the_delay_floor_and_per_link_fifo(spec, sends, plan):
+    """Payload bytes, NIC backlog and fault-injected ``net_delay`` /
+    ``net_drop`` extras only add delay: off-host delivery never beats
+    ``per_message_overhead + rtt/2``, and a later message on a link never
+    arrives before an earlier one."""
+    sim = Simulator()
+    network = Network(sim, spec)
+    engine = FaultEngine(sim, plan)
+    engine.start()
+    network.faults = engine
+    hosts = [f"h{i}" for i in range(6)]
+    floor = spec.per_message_overhead + spec.rtt * 0.5
+    #: per link, the arrival instant of each message in send order
+    arrivals: dict = {}
+    for src_idx, dst_idx, nbytes, gap in sends:
+        if gap > 0.0:
+            sim.run(until=sim.now + gap)
+        src, dst = hosts[src_idx], hosts[dst_idx]
+        link = arrivals.setdefault((src, dst), [])
+        link.append(None)
+
+        def arrived(_, link=link, slot=len(link) - 1, sent=sim.now,
+                    remote=src != dst):
+            # the absolute instants round by an ulp; 1e-12 s is far
+            # below any modelled delay
+            assert not remote or sim.now - sent >= floor - 1e-12
+            link[slot] = sim.now
+
+        network.transfer(src, dst, nbytes).add_callback(arrived)
+    sim.run()
+    for instants in arrivals.values():
+        assert None not in instants
+        assert instants == sorted(instants)
